@@ -7,53 +7,71 @@ from the explicit base or a delta from zero, selected by a one-bit mask.
 
 BDI is the paper's representative of the *non-dictionary* class: fast,
 per-line, no cross-line state.
+
+The encoder picks the smallest encoding that fits. A candidate's size
+depends only on the line length, never on the data, so the candidates
+are ranked once per length (smallest first, ties in table order with
+the repeated-value encoding ahead) and the first one that fits wins.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from repro.compression.base import Compressor, CompressedBlock
+from repro.core.errors import CorruptPayloadError
 
-#: (encoding name, base size in bytes, delta size in bytes)
-_LAYOUTS: Tuple[Tuple[str, int, int], ...] = (
-    ("b8d1", 8, 1),
-    ("b8d2", 8, 2),
-    ("b8d4", 8, 4),
-    ("b4d1", 4, 1),
-    ("b4d2", 4, 2),
-    ("b2d1", 2, 1),
-)
+#: encoding name -> (base size in bytes, delta size in bytes). The table
+#: order breaks size ties, so it is part of the encoder's output.
+_LAYOUTS: Dict[str, Tuple[int, int]] = {
+    "b8d1": (8, 1),
+    "b8d2": (8, 2),
+    "b8d4": (8, 4),
+    "b4d1": (4, 1),
+    "b4d2": (4, 2),
+    "b2d1": (2, 1),
+}
 
 #: 4-bit tag identifying the encoding on the wire.
 _TAG_BITS = 4
 
-
-def _split(line: bytes, size: int) -> List[int]:
-    count = len(line) // size
-    fmt = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
-    return list(struct.unpack(f"<{count}{fmt.upper()}", line))
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _join(values: List[int], size: int) -> bytes:
-    fmt = {1: "b", 2: "h", 4: "i", 8: "q"}[size]
-    return struct.pack(f"<{len(values)}{fmt.upper()}", *values)
+@lru_cache(maxsize=None)
+def _codec(line_len: int, size: int) -> struct.Struct:
+    """Splits a *line_len*-byte line into unsigned *size*-byte elements."""
+    return struct.Struct(f"<{line_len // size}{_UNSIGNED[size]}")
 
 
-def _fits(value: int, size: int) -> bool:
-    bound = 1 << (8 * size - 1)
-    return -bound <= value < bound
+#: One ranked candidate: (size_bits, layout, delta bound, element codec);
+#: "rep" carries no bound or codec.
+_Ranked = Tuple[int, str, int, Optional[struct.Struct]]
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    layout: str
-    base: int
-    mask: Tuple[bool, ...]  # True => delta from explicit base, False => from zero
-    deltas: Tuple[int, ...]
-    size_bits: int
+@lru_cache(maxsize=None)
+def _ranking(line_len: int) -> Tuple[_Ranked, ...]:
+    """Every encoding a *line_len*-byte line can take, smallest first."""
+    ranked = []
+    if line_len % 8 == 0:
+        # Order -1: the incumbent wins ties against every layout.
+        ranked.append((_TAG_BITS + 64, -1, "rep", 0, None))
+    for order, (layout, (base_size, delta_size)) in enumerate(_LAYOUTS.items()):
+        if line_len % base_size:
+            continue
+        count = line_len // base_size
+        size_bits = (
+            _TAG_BITS
+            + base_size * 8
+            + count  # dual-base selection mask
+            + count * delta_size * 8
+        )
+        bound = 1 << (8 * delta_size - 1)
+        ranked.append((size_bits, order, layout, bound, _codec(line_len, base_size)))
+    ranked.sort(key=lambda entry: entry[:2])
+    return tuple((size, layout, bound, codec) for size, _, layout, bound, codec in ranked)
 
 
 class BdiCompressor(Compressor):
@@ -63,19 +81,38 @@ class BdiCompressor(Compressor):
     stateful = False
 
     def compress(self, line: bytes) -> CompressedBlock:
-        candidate = self._best_candidate(line)
-        if candidate is None:
-            # Uncompressed fallback: tag + raw line.
-            size_bits = _TAG_BITS + len(line) * 8
-            return CompressedBlock(self.name, size_bits, len(line), ("raw", line))
-        tokens = (
-            candidate.layout,
-            candidate.base,
-            candidate.mask,
-            candidate.deltas,
-            len(line),
+        line_len = len(line)
+        if not any(line):
+            # All-zero line: tag + 1 marker byte.
+            return CompressedBlock(
+                self.name, _TAG_BITS + 8, line_len, ("zeros", 0, (), (), line_len)
+            )
+        for size_bits, layout, bound, codec in _ranking(line_len):
+            if codec is None:
+                if line == line[:8] * (line_len // 8):
+                    value = struct.unpack_from("<q", line)[0]
+                    tokens = ("rep", value, (), (), line_len)
+                    return CompressedBlock(self.name, size_bits, line_len, tokens)
+                continue
+            values = codec.unpack(line)
+            # Elements are unsigned, so an element misses the zero base
+            # exactly when it reaches the delta bound.
+            far = [v for v in values if v >= bound]
+            if not far:
+                mask = (False,) * len(values)
+                tokens = (layout, values[0], mask, values, line_len)
+                return CompressedBlock(self.name, size_bits, line_len, tokens)
+            base = far[0]
+            if min(far) - base < -bound or max(far) - base >= bound:
+                continue
+            mask = tuple(v >= bound for v in values)
+            deltas = tuple(v - base if v >= bound else v for v in values)
+            tokens = (layout, base, mask, deltas, line_len)
+            return CompressedBlock(self.name, size_bits, line_len, tokens)
+        # Uncompressed fallback: tag + raw line.
+        return CompressedBlock(
+            self.name, _TAG_BITS + line_len * 8, line_len, ("raw", line)
         )
-        return CompressedBlock(self.name, candidate.size_bits, len(line), tokens)
 
     def decompress(self, block: CompressedBlock) -> bytes:
         if block.tokens[0] == "raw":
@@ -86,63 +123,11 @@ class BdiCompressor(Compressor):
             value, line_len = block.tokens[1], block.tokens[4]
             return struct.pack("<q", value) * (line_len // 8)
         layout, base, mask, deltas, line_len = block.tokens
-        __, base_size, delta_size = next(l for l in _LAYOUTS if l[0] == layout)
-        del delta_size
+        try:
+            base_size, __ = _LAYOUTS[layout]
+        except KeyError:
+            raise CorruptPayloadError(f"unknown BDI layout {layout!r}") from None
         values = [
             (base + d) if use_base else d for use_base, d in zip(mask, deltas)
         ]
-        return _join(values, base_size)
-
-    def _best_candidate(self, line: bytes) -> Optional[_Candidate]:
-        if not any(line):
-            # All-zero line: tag + 1 marker byte.
-            return _Candidate("zeros", 0, (), (), _TAG_BITS + 8)
-        rep = self._repeated_candidate(line)
-        best = rep
-        for layout, base_size, delta_size in _LAYOUTS:
-            if len(line) % base_size:
-                continue
-            cand = self._delta_candidate(line, layout, base_size, delta_size)
-            if cand is not None and (best is None or cand.size_bits < best.size_bits):
-                best = cand
-        return best
-
-    def _repeated_candidate(self, line: bytes) -> Optional[_Candidate]:
-        if len(line) % 8:
-            return None
-        chunks = [line[i : i + 8] for i in range(0, len(line), 8)]
-        if all(c == chunks[0] for c in chunks):
-            value = struct.unpack("<q", chunks[0])[0]
-            return _Candidate("rep", value, (), (), _TAG_BITS + 64)
-        return None
-
-    def _delta_candidate(
-        self, line: bytes, layout: str, base_size: int, delta_size: int
-    ) -> Optional[_Candidate]:
-        values = _split(line, base_size)
-        base = next((v for v in values if not _fits(v, delta_size)), None)
-        if base is None:
-            base = values[0]
-        mask: List[bool] = []
-        deltas: List[int] = []
-        for value in values:
-            if _fits(value, delta_size):
-                mask.append(False)
-                deltas.append(value)
-            elif _fits(value - base, delta_size):
-                mask.append(True)
-                deltas.append(value - base)
-            else:
-                return None
-        size_bits = (
-            _TAG_BITS
-            + base_size * 8
-            + len(values)  # dual-base selection mask
-            + len(values) * delta_size * 8
-        )
-        return _Candidate(layout, base, tuple(mask), tuple(deltas), size_bits)
-
-    def decompress_layout(self, layout: str) -> Tuple[int, int]:
-        """Expose (base, delta) byte sizes of a named layout (for tests)."""
-        __, base_size, delta_size = next(l for l in _LAYOUTS if l[0] == layout)
-        return base_size, delta_size
+        return _codec(line_len, base_size).pack(*values)

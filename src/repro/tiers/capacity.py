@@ -17,9 +17,13 @@ idealized away.
 - a write that grows a resident line past the free segments takes the
   **fallback path**: evict other lines to make room (counted — this
   is the slot-overflow cost CRAM charges);
+- a hit verifies the stored image itself: it must decompress to the
+  line's bytes (the image is kept, never recomputed on the hit path);
 - :meth:`audit` proves the invariants the property suite leans on: no
-  address stored twice, segment/tag budgets respected, and every
-  stored image round-trips to the bytes it encodes.
+  address stored twice, segment/tag budgets respected, every stored
+  image equal to a fresh encode of its bytes and round-tripping to
+  them, and the running resident/segment counters equal to their
+  recomputation from the sets.
 
 The tier simulation in :class:`CapacityTierSimulation` drives the
 cache from a workload; misses fill over the link carrying the *same*
@@ -32,10 +36,10 @@ raw occupancy gain by that overhead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.compression.base import CompressedBlock
 from repro.compression.registry import make_engine
 from repro.obs.registry import METRICS
 from repro.sim.memlink import scale_profile
@@ -79,10 +83,19 @@ class _StoredLine:
     """One resident line: its shipped/stored image and bookkeeping."""
 
     data: bytes  # uncompressed truth, for round-trip verification
-    image_bits: int  # stored compressed size (or raw when incompressible)
+    image: Optional[CompressedBlock]  # stored image; None when stored raw
     segments: int
     dirty: bool
-    compressed: bool
+
+    @property
+    def compressed(self) -> bool:
+        return self.image is not None
+
+    @property
+    def image_bits(self) -> int:
+        """Stored size: the compressed image, or the raw line."""
+        image = self.image
+        return image.size_bits if image is not None else len(self.data) * 8
 
 
 class CapacityCache:
@@ -103,7 +116,12 @@ class CapacityCache:
         self.tag_budget = config.ways * (
             config.tags_per_slot if config.capacity_mode else 1
         )
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.sets)]
+        # Each set is a dict in LRU order, oldest first: a touch pops the
+        # line and re-inserts it at the end.
+        self._sets: List[Dict[int, _StoredLine]] = [{} for _ in range(self.sets)]
+        # Running totals, kept in step on install, evict and write.
+        self._resident = 0
+        self._used: List[int] = [0] * self.sets
         self._writeback = writeback or (lambda addr, line: None)
         self.stats = {
             "hits": 0,
@@ -126,18 +144,14 @@ class CapacityCache:
         image_bytes = -(-image_bits // 8)
         return -(-image_bytes // self.config.segment_bytes)
 
-    def _encode(self, data: bytes) -> Tuple[int, int, bool]:
-        """(image_bits, segments, compressed?) for storing *data*."""
-        raw_bits = len(data) * 8
+    def _encode(self, data: bytes) -> Tuple[Optional[CompressedBlock], int]:
+        """(image, or None to store raw; segments) for storing *data*."""
         if not self.config.capacity_mode:
-            return raw_bits, self.config.segments_per_line, False
+            return None, self.config.segments_per_line
         block = self.engine.compress(data)
-        if block.size_bits >= raw_bits:
-            return raw_bits, self.config.segments_per_line, False
-        return block.size_bits, self._segments_for(block.size_bits), True
-
-    def _used_segments(self, entries: OrderedDict) -> int:
-        return sum(line.segments for line in entries.values())
+        if block.size_bits >= len(data) * 8:
+            return None, self.config.segments_per_line
+        return block, self._segments_for(block.size_bits)
 
     # ------------------------------------------------------------------
     # Access path
@@ -149,20 +163,22 @@ class CapacityCache:
         if line is None:
             self.stats["misses"] += 1
             return None
-        entries.move_to_end(line_addr)
+        entries[line_addr] = entries.pop(line_addr)
         self.stats["hits"] += 1
-        if line.compressed and self.config.verify:
+        if line.image is not None and self.config.verify:
             # Round-trip the stored image against the line's truth.
-            decoded = self.engine.decompress(self.engine.compress(line.data))
-            if decoded != line.data:
+            if self.engine.decompress(line.image) != line.data:
                 self.stats["verify_failures"] += 1
         return line.data
 
-    def _evict_lru(self, entries: OrderedDict, exclude: Optional[int] = None) -> bool:
+    def _evict_lru(self, index: int, exclude: Optional[int] = None) -> bool:
+        entries = self._sets[index]
         for addr in entries:
             if addr == exclude:
                 continue
             line = entries.pop(addr)
+            self._resident -= 1
+            self._used[index] -= line.segments
             self.stats["evictions"] += 1
             if line.dirty:
                 self.stats["writebacks"] += 1
@@ -172,18 +188,21 @@ class CapacityCache:
 
     def install(self, line_addr: int, data: bytes, dirty: bool = False) -> _StoredLine:
         """Install a (miss-filled) line, evicting until budgets hold."""
-        entries = self._sets[self._index(line_addr)]
+        index = self._index(line_addr)
+        entries = self._sets[index]
         if line_addr in entries:
             raise ValueError(f"line {line_addr:#x} already resident")
-        image_bits, segments, compressed = self._encode(data)
+        image, segments = self._encode(data)
         while (
-            self._used_segments(entries) + segments > self.segment_budget
+            self._used[index] + segments > self.segment_budget
             or len(entries) + 1 > self.tag_budget
         ):
-            if not self._evict_lru(entries):
+            if not self._evict_lru(index):
                 raise RuntimeError("empty set cannot make room")  # unreachable
-        line = _StoredLine(data, image_bits, segments, dirty, compressed)
+        line = _StoredLine(data, image, segments, dirty)
         entries[line_addr] = line
+        self._resident += 1
+        self._used[index] += segments
         self.stats["installs"] += 1
         return line
 
@@ -194,30 +213,29 @@ class CapacityCache:
         segments takes the fallback path: other lines are evicted to
         make room, and the event is counted.
         """
-        entries = self._sets[self._index(line_addr)]
+        index = self._index(line_addr)
+        entries = self._sets[index]
         line = entries.get(line_addr)
         if line is None:
             return None
-        image_bits, segments, compressed = self._encode(data)
+        image, segments = self._encode(data)
         grew = segments > line.segments
         if grew:
             # The line's own old segments are reusable; free the rest.
-            needed = self._used_segments(entries) - line.segments + segments
-            overflowed = needed > self.segment_budget
-            while (
-                self._used_segments(entries) - line.segments + segments
-                > self.segment_budget
-            ):
-                if not self._evict_lru(entries, exclude=line_addr):
+            overflowed = (
+                self._used[index] - line.segments + segments > self.segment_budget
+            )
+            while self._used[index] - line.segments + segments > self.segment_budget:
+                if not self._evict_lru(index, exclude=line_addr):
                     raise RuntimeError("line cannot fit its own set")  # unreachable
             if overflowed:
                 self.stats["fallbacks"] += 1
+        self._used[index] += segments - line.segments
         line.data = data
-        line.image_bits = image_bits
+        line.image = image
         line.segments = segments
-        line.compressed = compressed
         line.dirty = True
-        entries.move_to_end(line_addr)
+        entries[line_addr] = entries.pop(line_addr)
         return line
 
     # ------------------------------------------------------------------
@@ -225,7 +243,7 @@ class CapacityCache:
     # ------------------------------------------------------------------
 
     def resident_lines(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return self._resident
 
     def resident_addresses(self) -> List[int]:
         out: List[int] = []
@@ -236,6 +254,10 @@ class CapacityCache:
     def audit(self) -> None:
         """Raise AssertionError if any packing invariant is violated."""
         seen: Dict[int, int] = {}
+        resident = sum(len(entries) for entries in self._sets)
+        assert self._resident == resident, (
+            f"resident counter {self._resident} != {resident} lines in the sets"
+        )
         for index, entries in enumerate(self._sets):
             used = 0
             assert len(entries) <= self.tag_budget, (
@@ -252,17 +274,18 @@ class CapacityCache:
                 assert 1 <= line.segments <= self.config.segments_per_line
                 assert self._segments_for(line.image_bits) <= line.segments
                 used += line.segments
-                if line.compressed:
-                    block = self.engine.compress(line.data)
-                    assert block.size_bits == line.image_bits, (
-                        f"line {addr:#x}: stored {line.image_bits}b, "
-                        f"re-encode {block.size_bits}b"
+                if line.image is not None:
+                    assert line.image == self.engine.compress(line.data), (
+                        f"line {addr:#x}: stored image is not the encode of its bytes"
                     )
-                    assert self.engine.decompress(block) == line.data, (
+                    assert self.engine.decompress(line.image) == line.data, (
                         f"line {addr:#x}: stored image does not round-trip"
                     )
             assert used <= self.segment_budget, (
                 f"set {index}: {used} segments > budget {self.segment_budget}"
+            )
+            assert self._used[index] == used, (
+                f"set {index}: segment counter {self._used[index]} != {used}"
             )
 
 

@@ -3,10 +3,14 @@
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.compression.base import CompressedBlock
 from repro.compression.bdi import BdiCompressor
 from repro.compression.oracle import OracleCompressor
 from repro.compression.zero import ZeroCompressor
+from repro.core.errors import CorruptPayloadError
 from repro.util.words import words_to_bytes
 
 
@@ -146,3 +150,121 @@ class TestOracle:
         line = b"ABABAB" + bytes(58)
         block = engine.compress_with_references(line, [ref])
         assert engine.decompress_with_references(block, [ref]) == line
+
+
+# ----------------------------------------------------------------------
+# Smallest-first BDI against the exhaustive scorer it replaced
+# ----------------------------------------------------------------------
+
+_ORACLE_LAYOUTS = (
+    ("b8d1", 8, 1),
+    ("b8d2", 8, 2),
+    ("b8d4", 8, 4),
+    ("b4d1", 4, 1),
+    ("b4d2", 4, 2),
+    ("b2d1", 2, 1),
+)
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _oracle_fits(value, size):
+    bound = 1 << (8 * size - 1)
+    return -bound <= value < bound
+
+
+def _oracle_delta(line, layout, base_size, delta_size):
+    count = len(line) // base_size
+    values = struct.unpack(f"<{count}{_UNSIGNED[base_size]}", line)
+    base = next((v for v in values if not _oracle_fits(v, delta_size)), values[0])
+    mask, deltas = [], []
+    for value in values:
+        if _oracle_fits(value, delta_size):
+            mask.append(False)
+            deltas.append(value)
+        elif _oracle_fits(value - base, delta_size):
+            mask.append(True)
+            deltas.append(value - base)
+        else:
+            return None
+    size_bits = 4 + base_size * 8 + count + count * delta_size * 8
+    return size_bits, (layout, base, tuple(mask), tuple(deltas), len(line))
+
+
+def oracle_bdi(line):
+    """Score every layout and keep the first strictly smaller one."""
+    if not any(line):
+        return 4 + 8, ("zeros", 0, (), (), len(line))
+    best = None
+    if len(line) % 8 == 0:
+        chunks = [line[i : i + 8] for i in range(0, len(line), 8)]
+        if all(c == chunks[0] for c in chunks):
+            best = (4 + 64, ("rep", struct.unpack("<q", chunks[0])[0], (), (), len(line)))
+    for layout, base_size, delta_size in _ORACLE_LAYOUTS:
+        if len(line) % base_size:
+            continue
+        cand = _oracle_delta(line, layout, base_size, delta_size)
+        if cand is not None and (best is None or cand[0] < best[0]):
+            best = cand
+    if best is None:
+        return 4 + len(line) * 8, ("raw", line)
+    return best
+
+
+@st.composite
+def bdi_lines(draw):
+    """Lines that sit on the layout boundaries BDI decides between."""
+    line_len = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    kind = draw(st.sampled_from(["edge", "one_far", "rep", "zeros", "any"]))
+    if kind == "zeros":
+        return bytes(line_len)
+    if kind == "any":
+        return draw(st.binary(min_size=line_len, max_size=line_len))
+    if kind == "rep":
+        return draw(st.binary(min_size=8, max_size=8)) * (line_len // 8)
+    size = draw(st.sampled_from([s for s in (2, 4, 8) if line_len % s == 0]))
+    count = line_len // size
+    modulus = 1 << (8 * size)
+    if kind == "one_far":
+        values = [draw(st.integers(0, 127)) for _ in range(count)]
+        values[draw(st.integers(0, count - 1))] = draw(st.integers(0, modulus - 1))
+    else:
+        # Values hugging ±2^(8d-1) for every delta width d, around a
+        # random base, so deltas land just inside and just outside.
+        base = draw(st.integers(0, modulus - 1))
+        values = []
+        for _ in range(count):
+            delta_size = draw(st.sampled_from([d for d in (1, 2, 4) if d < size]))
+            edge = 1 << (8 * delta_size - 1)
+            offset = draw(st.sampled_from([-edge - 1, -edge, -edge + 1, edge - 1, edge, 0]))
+            origin = draw(st.sampled_from([0, base]))
+            values.append((origin + offset) % modulus)
+    return struct.pack(f"<{count}{_UNSIGNED[size]}", *values)
+
+
+# Size ties the table order must break: a 64-byte line that fits b4d2
+# and b2d1 (308 bits each) but nothing smaller, and a 128-byte line
+# that fits b8d4 and b2d1 (596 bits each) but nothing smaller.
+_W0, _W1 = (1000 << 16) | 5, (5 << 16) | 1000
+TIE_64 = struct.pack("<16I", *[_W0, (1000 << 16) | 1100, 900, 900] * 4)
+TIE_128 = struct.pack("<32I", *[_W0, 0, 900, 0, _W1, 0, 900, 0] * 4)
+
+
+@settings(max_examples=600, deadline=None)
+@given(bdi_lines())
+@example(TIE_64)
+@example(TIE_128)
+def test_smallest_first_matches_exhaustive_scorer(line):
+    engine = BdiCompressor()
+    block = engine.compress(line)
+    size_bits, tokens = oracle_bdi(line)
+    assert block.algorithm == "bdi"
+    assert block.size_bits == size_bits
+    assert block.tokens == tokens
+    assert engine.decompress(block) == line
+
+
+def test_unknown_layout_is_a_typed_error():
+    engine = BdiCompressor()
+    block = CompressedBlock("bdi", 100, 64, ("b9d9", 0, (), (), 64))
+    with pytest.raises(CorruptPayloadError):
+        engine.decompress(block)

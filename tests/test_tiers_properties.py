@@ -8,8 +8,9 @@ Two guarantees the tier models stake their numbers on:
    overflow and the fallback path) runs against a reference model:
    every resident line must read back the last bytes written, every
    line that left the cache must have surfaced through the writeback
-   callback carrying those same bytes, and ``audit()`` must hold after
-   every batch.
+   callback carrying those same bytes, ``audit()`` must hold after
+   every batch, and the cache's running resident-line and per-set
+   segment counters must equal their recomputation after every step.
 
 2. **Tier payloads are byte-identical across kernel legs.** The wire
    bits each tier ships are hashed and compared against pinned
@@ -63,6 +64,13 @@ op = st.tuples(
 )
 
 
+def assert_counters(cache):
+    """The O(1) counters agree with a walk over the sets."""
+    assert cache.resident_lines() == len(cache.resident_addresses())
+    for index, entries in enumerate(cache._sets):
+        assert cache._used[index] == sum(line.segments for line in entries.values())
+
+
 @settings(
     max_examples=40,
     deadline=None,
@@ -85,6 +93,7 @@ def test_capacity_cache_never_drops_or_duplicates(ops):
             model[addr] = data
         elif kind == "lookup" and resident:
             assert cache.lookup(addr) == model[addr]
+        assert_counters(cache)
     cache.audit()
     stored = cache.resident_addresses()
     assert len(stored) == len(set(stored)), "address stored twice"
@@ -116,6 +125,38 @@ def test_fallback_keeps_grown_line():
     assert cache.stats["evictions"] >= 1
     assert cache.lookup(3) == INCOMPRESSIBLE
     cache.audit()
+
+
+def test_hit_verifies_the_stored_image():
+    """A stale stored image is caught on the hit and by the audit.
+
+    Re-compressing the line's bytes on a hit would pass here: only the
+    image actually stored says the slot holds the wrong bytes.
+    """
+    cache = CapacityCache(PACK_CONFIG)
+    stored = cache.install(0, NARROW)
+    assert stored.compressed
+    cache.audit()
+    other = (4321).to_bytes(8, "little") * 8
+    stored.image = cache.engine.compress(other)
+    assert cache.lookup(0) == NARROW
+    assert cache.stats["verify_failures"] == 1
+    with pytest.raises(AssertionError, match="stored image"):
+        cache.audit()
+
+
+def test_audit_checks_the_running_counters():
+    cache = CapacityCache(PACK_CONFIG)
+    cache.install(0, RUN)
+    cache.install(1, ZERO)
+    cache.audit()
+    cache._used[0] += 1
+    with pytest.raises(AssertionError, match="segment counter"):
+        cache.audit()
+    cache._used[0] -= 1
+    cache._resident += 1
+    with pytest.raises(AssertionError, match="resident counter"):
+        cache.audit()
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ archive artifacts write them under ``benchmarks/output/``.
 import argparse
 import json
 import pathlib
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -307,6 +308,34 @@ def smoke_cluster_soak() -> int:
     return 0
 
 
+def smoke_perfbench() -> int:
+    """One short run of every repo benchmark workload on seed 0.
+
+    ``perfbench/run.py`` exits nonzero when an output differs from its
+    pinned digest, when samples disagree or when an operation fails, so
+    a change meant only to be faster that alters what the program
+    computes fails here. The workloads are the ones ``BENCHMARK.json``
+    declares.
+    """
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    failed = []
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        done = subprocess.run(
+            [
+                sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seed", "0", "--seconds", "1", "--trace", "0",
+            ],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+        lines = done.stdout.strip().splitlines()
+        print(f"{workload}: exit={done.returncode} {lines[-1] if lines else ''}")
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            failed.append(workload)
+    assert not failed, f"perfbench failed on {', '.join(failed)}"
+    return 0
+
+
 LEGS = {
     "fault": smoke_fault,
     "crash": smoke_crash,
@@ -315,6 +344,7 @@ LEGS = {
     "cluster": smoke_cluster,
     "tune": smoke_tune,
     "tiers": smoke_tiers,
+    "perfbench": smoke_perfbench,
     "cluster_soak": smoke_cluster_soak,
 }
 
