@@ -69,9 +69,6 @@ class SearchPipelineModel:
         """The Table IV charge: every word yields a signature."""
         return self.search_cycles(config.max_signatures)
 
-    def best_case_cycles(self) -> int:
-        return self.search_cycles(1)
-
     def measured_cycles(self, extractor: SignatureExtractor, line: bytes) -> int:
         """Search latency for a concrete line's actual signatures."""
         return self.search_cycles(len(extractor.search_signatures(line)))

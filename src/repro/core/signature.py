@@ -212,85 +212,46 @@ class SignatureExtractor:
         return tuple(signatures)
 
     # ------------------------------------------------------------------
-    # Batched extraction (whole blocks of lines at once)
+    # Batched extraction warm (whole blocks of lines at once)
     # ------------------------------------------------------------------
-
-    def search_signatures_batch(
-        self, lines: Sequence[bytes], backend: Optional[str] = None
-    ) -> List[Tuple[int, ...]]:
-        """Search-time signatures for a whole block of lines.
-
-        Equivalent to ``[tuple(self.search_signatures(l)) for l in
-        lines]``: memo hits are returned directly, and the misses are
-        hashed together through one :class:`BatchLines` matrix on the
-        numpy leg (scalar per line on the pure leg).
-        """
-        memo = self._search_memo
-        out: List[Optional[Tuple[int, ...]]] = []
-        missing: Dict[bytes, None] = {}
-        for line in lines:
-            sigs = memo.get(line)
-            out.append(sigs)
-            if sigs is None:
-                missing[line] = None
-        if missing:
-            computed = self._extract_block(list(missing), backend, index=False)
-            for i, line in enumerate(lines):
-                if out[i] is None:
-                    out[i] = computed[line][1]
-        return out
 
     def warm_batch(self, lines: Sequence[bytes], backend: Optional[str] = None) -> int:
         """Precompute index- and search-time memo entries for *lines*.
 
-        The look-ahead prefetch of the batch feeds: extraction is pure
-        per-line work (no encoder state involved), so it can be paid in
-        one vectorized pass before the scalar pipeline consumes the
-        lines. Returns how many distinct lines were newly extracted.
+        The look-ahead prefetch of the memlink simulation and the serve
+        worker: extraction is pure per-line work (no encoder state
+        involved), so it can be paid in one vectorized pass before the
+        scalar pipeline consumes the lines. On the numpy leg one hash
+        pass over a :class:`BatchLines` matrix feeds both extraction
+        rules; otherwise each line goes through the scalar extractors.
+        Returns how many distinct lines were newly extracted.
         """
         fresh = [
             line
             for line in dict.fromkeys(lines)
             if line not in self._search_memo or line not in self._index_memo
         ]
-        if fresh:
-            self._extract_block(fresh, backend, index=True)
-        return len(fresh)
-
-    def _extract_block(
-        self, unique_lines: List[bytes], backend: Optional[str], index: bool
-    ) -> Dict[bytes, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Extract (index_sigs, search_sigs) for distinct lines.
-
-        One hash pass feeds both extraction rules; *index* skips the
-        index-time walk when only search signatures are wanted.
-        """
-        resolved: Dict[bytes, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        if not fresh:
+            return 0
         vectorized = (
             batch_backend(backend) == "numpy"
-            and len({len(line) for line in unique_lines}) == 1
+            and len({len(line) for line in fresh}) == 1
         )
         if vectorized:
-            batch = BatchLines(
-                unique_lines, self.config.trivial_threshold_bits, "numpy"
-            )
+            batch = BatchLines(fresh, self.config.trivial_threshold_bits, "numpy")
             rows = self.hash.hash_matrix(batch.words).tolist()
-            for line, row, tmask in zip(unique_lines, rows, batch.tmasks):
+            for line, row, tmask in zip(fresh, rows, batch.tmasks):
                 search_sigs = self._search_from_row(row, tmask)
-                index_sigs = self._index_from_row(row, tmask) if index else ()
+                index_sigs = self._index_from_row(row, tmask)
                 self._remember(self._search_memo, line, search_sigs)
-                if index:
-                    self._remember(self._index_memo, line, index_sigs)
-                resolved[line] = (index_sigs, search_sigs)
+                self._remember(self._index_memo, line, index_sigs)
         else:
-            for line in unique_lines:
+            for line in fresh:
                 search_sigs = self._search_signatures_uncached(line)
-                index_sigs = self._index_signatures_uncached(line) if index else ()
+                index_sigs = self._index_signatures_uncached(line)
                 self._remember(self._search_memo, line, search_sigs)
-                if index:
-                    self._remember(self._index_memo, line, index_sigs)
-                resolved[line] = (index_sigs, search_sigs)
-        return resolved
+                self._remember(self._index_memo, line, index_sigs)
+        return len(fresh)
 
     def _search_from_row(self, row: List[int], tmask: int) -> Tuple[int, ...]:
         """Search-rule dedup over a pre-hashed word row."""

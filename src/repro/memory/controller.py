@@ -75,10 +75,6 @@ class FcfsController:
     # Analytics used by the timing model
     # ------------------------------------------------------------------
 
-    def unloaded_latency_ns(self) -> float:
-        """Closed-page latency with empty queues."""
-        return self.timing.access_ns
-
     def peak_bandwidth_bytes_per_s(self) -> float:
         return len(self.channels) * self.timing.peak_bandwidth_bytes_per_s
 

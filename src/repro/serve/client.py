@@ -99,6 +99,7 @@ class RemoteClient:
             "backpressure": 0,
             "retries": 0,
             "link_failures": 0,
+            "server_errors": 0,
         }
 
     @classmethod
@@ -171,7 +172,8 @@ class RemoteClient:
 
         Returns the number of accesses completed (all frames verified,
         RESULT received). Shorter than ``len(accesses)`` only when the
-        server drained mid-run or the connection dropped.
+        server drained mid-run, the connection dropped, or the server
+        failed an access (counted in ``stats["server_errors"]``).
         """
         pending: Dict[int, _Pending] = {}
         self.completed_indices = set()  # indices are per-run positions
@@ -238,6 +240,12 @@ class RemoteClient:
             entry = pending.get(index)
             self.progress = (epoch, records)
             if entry is None:
+                return
+            if status == protocol.STATUS_SERVER_ERROR:
+                # The server failed this access: it ends here, loudly,
+                # and is not counted as completed.
+                del pending[index]
+                self.stats["server_errors"] += 1
                 return
             entry.expect = frame_count
             entry.status = status

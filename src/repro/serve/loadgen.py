@@ -54,6 +54,8 @@ class LoadgenReport:
     retransmits: int = 0
     silent_corruptions: int = 0
     link_failures: int = 0
+    #: Accesses the server answered with a server-error RESULT.
+    server_errors: int = 0
     sessions_peak: int = 0
     rejected_opens: int = 0
     elapsed_s: float = 0.0
@@ -75,6 +77,7 @@ class LoadgenReport:
         return (
             self.completed == self.accesses
             and self.silent_corruptions == 0
+            and self.server_errors == 0
             and self.audit_ok
             and self.drained_clean
         )
@@ -85,7 +88,8 @@ class LoadgenReport:
             for key in (
                 "clients", "accesses", "completed", "frames", "nacks",
                 "crc_errors", "backpressure", "retransmits",
-                "silent_corruptions", "link_failures", "sessions_peak",
+                "silent_corruptions", "link_failures", "server_errors",
+                "sessions_peak",
                 "rejected_opens", "elapsed_s", "lines_per_s",
                 "p50_ms", "p99_ms", "audit_ok", "drained_clean",
             )
@@ -172,6 +176,7 @@ async def run_loadgen(
         report.crc_errors += client.stats["crc_errors"]
         report.backpressure += client.stats["backpressure"]
         report.link_failures += client.stats["link_failures"]
+        report.server_errors += client.stats["server_errors"]
         latencies.extend(client.latencies_ms)
         report.per_client.append(
             {

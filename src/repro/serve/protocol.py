@@ -57,6 +57,7 @@ _ACCESS_HAS_DATA = 0x02
 # RESULT status codes.
 STATUS_OK = 0
 STATUS_LINK_FAILURE = 1  # retries + raw fallback exhausted server-side
+STATUS_SERVER_ERROR = 2  # the server raised while serving the access
 
 _OPEN_HDR = struct.Struct(">II")  # resume_session_id, client_tag
 _OPEN_OK_HDR = struct.Struct(">IB")  # session_id, flags

@@ -32,6 +32,7 @@ durable state, audit every pair.
 from __future__ import annotations
 
 import asyncio
+import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -92,11 +93,6 @@ class ServeConfig:
     max_batch_bytes: int = 8192
     #: Frames kept per session for NACK retransmission.
     retransmit_window: int = 64
-    #: Worker drains up to this many queued accesses per wakeup, with
-    #: one batched extraction warm and one cooperative yield per block;
-    #: 1 restores item-at-a-time service. Outputs are byte-identical
-    #: either way — the warm only prefetches pure per-line work.
-    drain_block: int = 8
     #: Home / remote cache sizes per session (campaign geometry: small
     #: enough that reference compression and evictions both engage).
     home_kb: int = 16
@@ -139,6 +135,14 @@ class ServeConfig:
 #: Queue sentinel: the worker should flush and exit.
 _SHUTDOWN = object()
 
+_LOG = logging.getLogger(__name__)
+
+#: The worker drains up to this many queued accesses per wakeup, with
+#: one batched extraction warm and one cooperative yield per block.
+#: Outputs are byte-identical at any size — the warm only prefetches
+#: pure per-line work.
+DRAIN_BLOCK = 8
+
 
 class Session:
     """One client's transport, composed over its endpoint state."""
@@ -170,6 +174,7 @@ class Session:
             "dropped_frames": 0,
             "link_failures": 0,
             "silent_corruptions": 0,
+            "worker_errors": 0,
         }
 
     @property
@@ -248,10 +253,9 @@ class Session:
     # ------------------------------------------------------------------
 
     async def _run_worker(self) -> None:
-        block = max(1, self.config.drain_block)
         while True:
             items = [await self.queue.get()]
-            while len(items) < block:
+            while len(items) < DRAIN_BLOCK:
                 try:
                     items.append(self.queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -267,12 +271,15 @@ class Session:
                     try:
                         self._process(*item)
                     except Exception:
-                        # Never let one poisoned access wedge
-                        # queue.join() at drain time; count it and
-                        # keep serving.
-                        self.stats["worker_errors"] = (
-                            self.stats.get("worker_errors", 0) + 1
+                        # A poisoned access fails loudly and alone: its
+                        # client gets a server-error RESULT instead of
+                        # waiting forever, and the session keeps serving.
+                        _LOG.exception(
+                            "session %d: access %d failed",
+                            self.session_id,
+                            item[0],
                         )
+                        self._fail_access(item[0])
                 finally:
                     self.queue.task_done()
             if stop:
@@ -280,6 +287,18 @@ class Session:
             # Yield once per drained block so the reader loop (and
             # other sessions) interleave even when the queue is hot.
             await asyncio.sleep(0)
+
+    def _fail_access(self, index: int) -> None:
+        """Answer access *index* with a frameless server-error RESULT."""
+        self.stats["worker_errors"] += 1
+        self.state.capture.clear()
+        if self.sender is not None:
+            epoch, records = self.progress()
+            self.sender.send(
+                protocol.encode_result(
+                    index, 0, protocol.STATUS_SERVER_ERROR, epoch, records
+                )
+            )
 
     def _warm_block(self, items: List) -> None:
         """Batch-warm signature extraction for a drained block.
@@ -559,6 +578,7 @@ class SessionManager:
             "retransmits": 0,
             "link_failures": 0,
             "silent_corruptions": 0,
+            "worker_errors": 0,
             "audit_failures": 0,
             # -- replication / failover (repro.replica) ----------------
             "kills": 0,
@@ -582,6 +602,7 @@ class SessionManager:
                 "retransmits",
                 "link_failures",
                 "silent_corruptions",
+                "worker_errors",
             ):
                 report[key] += session.stats[key]
             replica = session.state.replica_rollup()

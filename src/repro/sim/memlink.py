@@ -47,6 +47,14 @@ _MB = 1024 * 1024
 #: Stream schemes and whether their codec state spans the stream.
 STREAM_SCHEMES = ("zero", "bdi", "cpack", "cpack128", "lbe256", "gzip")
 
+#: Look-ahead window (accesses) for the batched signature-extraction
+#: warm (cable scheme only): upcoming lines are peeked and run through
+#: :meth:`SignatureExtractor.warm_batch` in one vectorized pass before
+#: the access loop consumes them. Purely a throughput setting —
+#: extraction is a pure function of line bytes, so results are
+#: byte-identical with it on, off (≤1), or resized.
+LOOKAHEAD_LINES = 64
+
 
 def scale_profile(profile: BenchmarkProfile, ws_scale: float) -> BenchmarkProfile:
     """Shrink/grow a profile's footprint, keeping family density.
@@ -105,13 +113,6 @@ class MemLinkConfig:
     #: right after the given access. Requires a recovery layer (set
     #: ``durability`` or ``faults``/``recovery``).
     crash_points: Tuple[Tuple[int, str], ...] = ()
-    #: Look-ahead window (accesses) for the batched signature-
-    #: extraction warm (cable scheme only): upcoming lines are peeked
-    #: and run through :meth:`SignatureExtractor.warm_batch` in one
-    #: vectorized pass before the access loop consumes them. Purely a
-    #: throughput knob — extraction is a pure function of line bytes,
-    #: so results are byte-identical with it on, off (≤1), or resized.
-    batch_lines: int = 64
     #: Online adaptive knob tuning (cable scheme only): a
     #: :class:`repro.tune.plan.TuningPlan` arms a per-benchmark
     #: :class:`~repro.tune.controller.KnobController` when counting
@@ -406,8 +407,8 @@ class MemLinkSimulation:
         for index, side in config.crash_points:
             crash_at.setdefault(index, []).append(side)
         accesses = self.workload.accesses(config.accesses)
-        if self.cable is not None and config.batch_lines > 1:
-            accesses = self._lookahead_blocks(accesses, config.batch_lines)
+        if self.cable is not None and LOOKAHEAD_LINES > 1:
+            accesses = self._lookahead_blocks(accesses, LOOKAHEAD_LINES)
         tuner: Optional[KnobController] = None
         for i, access in enumerate(accesses):
             if i == warmup:

@@ -50,7 +50,6 @@ TUNABLE_KNOBS = frozenset(
         "ranking_policy",
         "no_reference_threshold",
         "engine",
-        "batch_block_size",
     }
 )
 

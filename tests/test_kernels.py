@@ -25,7 +25,6 @@ from repro.util.kernels import (
     _popcount_pure,
     _trivial_mask_pure,
     batch_backend,
-    batch_match_masks,
     count_toggles,
     line_match_mask,
     line_words,
@@ -216,24 +215,6 @@ def test_batch_lines_rejects_ragged_blocks():
         BatchLines([])
 
 
-@pytest.mark.parametrize("leg", batch_legs)
-@given(
-    line=st.binary(min_size=16, max_size=16),
-    candidates=st.lists(st.binary(min_size=16, max_size=16), max_size=8),
-)
-@settings(max_examples=40)
-def test_batch_match_masks_matches_pairwise(leg, line, candidates):
-    expected = [line_match_mask(line, candidate) for candidate in candidates]
-    assert batch_match_masks(line, candidates, backend=leg) == expected
-
-
-def test_batch_match_masks_handles_ragged_candidates():
-    line = bytes(range(16))
-    candidates = [bytes(range(16)), bytes(range(8))]
-    expected = [line_match_mask(line, candidate) for candidate in candidates]
-    assert batch_match_masks(line, candidates) == expected
-
-
 def test_batch_backend_resolution():
     assert batch_backend() in ("numpy", "pure")
     assert batch_backend("pure") == "pure"
@@ -242,62 +223,6 @@ def test_batch_backend_resolution():
     if not HAVE_NUMPY:
         with pytest.raises(ValueError):
             batch_backend("numpy")
-
-
-@needs_numpy
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=0xFFFFFFFF), min_size=1, max_size=64
-    )
-)
-def test_popcount_array_matches_popcount32(values):
-    import numpy as np
-
-    from repro.util.kernels import popcount_array
-
-    arr = np.array(values, dtype=np.uint32)
-    assert popcount_array(arr).tolist() == [popcount32(v) for v in values]
-
-
-@needs_numpy
-@given(
-    st.integers(min_value=1, max_value=20).flatmap(
-        lambda words: st.tuples(
-            st.lists(
-                st.lists(
-                    st.integers(min_value=0, max_value=0xFFFFFFFF),
-                    min_size=words,
-                    max_size=words,
-                ),
-                min_size=1,
-                max_size=8,
-            ),
-            st.lists(
-                st.lists(
-                    st.integers(min_value=0, max_value=0xFFFFFFFF),
-                    min_size=words,
-                    max_size=words,
-                ),
-                min_size=1,
-                max_size=8,
-            ),
-        )
-    )
-)
-@settings(max_examples=40)
-def test_match_mask_rows_matches_match_mask(rows):
-    import numpy as np
-
-    from repro.util.kernels import match_mask_rows
-
-    targets, candidates = rows
-    n = min(len(targets), len(candidates))
-    target_m = np.array(targets[:n], dtype=np.uint32)
-    cand_m = np.array(candidates[:n], dtype=np.uint32)
-    expected = [
-        match_mask(t, c) for t, c in zip(targets[:n], candidates[:n])
-    ]
-    assert match_mask_rows(target_m, cand_m) == expected
 
 
 # ----------------------------------------------------------------------

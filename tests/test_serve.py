@@ -196,6 +196,36 @@ class TestLoadgen:
 
         asyncio.run(scenario())
 
+    def test_poisoned_access_fails_loudly_not_forever(self, monkeypatch):
+        """An access whose processing raises is answered with a
+        server-error RESULT: the client stops waiting for it, the run
+        finishes, and every roll-up names the failure."""
+        from repro.serve import session as session_module
+
+        original = session_module.Session._process
+
+        def poisoned(self, index, addr, is_write, data):
+            if index == 7:
+                raise RuntimeError("poisoned access")
+            return original(self, index, addr, is_write, data)
+
+        monkeypatch.setattr(session_module.Session, "_process", poisoned)
+
+        async def scenario():
+            service = LinkService(ServeConfig())
+            return await asyncio.wait_for(
+                run_loadgen(clients=1, accesses=20, service=service, seed=3),
+                timeout=20,
+            )
+
+        report = asyncio.run(scenario())
+        assert report.completed == 19
+        assert report.server_errors == 1
+        assert not report.ok
+        assert report.drain_report["worker_errors"] == 1
+        assert report.audit_ok
+        assert report.as_dict()["server_errors"] == 1
+
     def test_client_tags_are_deterministic(self):
         tags = [client_tag(123, i) for i in range(8)]
         assert tags == [client_tag(123, i) for i in range(8)]

@@ -5,7 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CableConfig
 from repro.core.signature import H3Hash, SignatureExtractor
+from repro.util.kernels import HAVE_NUMPY
 from repro.util.words import words_to_bytes
+
+#: Kernel legs ``warm_batch`` can be pinned to in this process.
+WARM_LEGS = ("numpy", "pure") if HAVE_NUMPY else ("pure",)
+
+#: Words biased towards the trivial (§III-A) and duplicate cases.
+_words = st.one_of(
+    st.sampled_from([0, 0xFFFFFFFF, 0x7F, 0xFFFFFF80, 0x12345678]),
+    st.integers(0, 0xFF),
+    st.integers(0, 2**32 - 1),
+)
+_lines = st.lists(_words, min_size=16, max_size=16).map(words_to_bytes)
 
 
 @pytest.fixture
@@ -127,3 +139,60 @@ class TestConfigInteraction:
     def test_misaligned_offset_rejected(self):
         with pytest.raises(ValueError):
             CableConfig(signature_offsets=(0, 30))
+
+
+class TestWarmBatch:
+    """``warm_batch`` must fill exactly the memo entries the scalar
+    extractors compute — on the numpy leg it re-implements both rules
+    over a pre-hashed word row."""
+
+    CONFIGS = (
+        CableConfig(),
+        CableConfig(
+            signatures_per_line=4,
+            signature_offsets=(0, 16, 32, 48),
+            trivial_threshold_bits=16,
+        ),
+    )
+
+    @staticmethod
+    def _check(config, leg, lines):
+        warmed = SignatureExtractor(config)
+        distinct = list(dict.fromkeys(lines))
+        assert warmed.warm_batch(lines, backend=leg) == len(distinct)
+        assert warmed.warm_batch(lines, backend=leg) == 0
+        reference = SignatureExtractor(config)
+        for line in distinct:
+            assert warmed._index_memo[line] == (
+                reference._index_signatures_uncached(line)
+            )
+            assert warmed._search_memo[line] == (
+                reference._search_signatures_uncached(line)
+            )
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("leg", WARM_LEGS)
+    @settings(max_examples=30, deadline=None)
+    @given(lines=st.lists(_lines, min_size=1, max_size=12))
+    def test_random_lines(self, leg, config, lines):
+        self._check(config, leg, lines)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("leg", WARM_LEGS)
+    def test_all_trivial_lines(self, leg, config):
+        lines = [
+            b"\x00" * 64,
+            b"\xff" * 64,
+            words_to_bytes([i for i in range(16)]),
+            words_to_bytes([0xFFFFFF00 | i for i in range(16)]),
+        ]
+        self._check(config, leg, lines)
+        assert SignatureExtractor(config).index_signatures(lines[0]) == []
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("leg", WARM_LEGS)
+    def test_duplicate_lines_and_words(self, leg, config):
+        repeated = words_to_bytes([0x11111111, 0x22222222] * 8)
+        mixed = words_to_bytes([0xDEADBEEF] * 4 + [0] * 8 + [0xDEADBEEF] * 4)
+        lines = [repeated, mixed, repeated, repeated, mixed]
+        self._check(config, leg, lines)

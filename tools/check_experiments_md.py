@@ -152,17 +152,6 @@ def check_cluster_scaling(summary):
         yield "a scaling-row drain audit failed"
 
 
-def check_hotpath_batch(summary):
-    if summary.get("scalar_identical") != 1:
-        yield "batched encode payloads diverged from the scalar path"
-    if summary.get("stats_identical") != 1:
-        yield "batched encode stats diverged from the scalar path"
-    if summary.get("lines", 0) < 1000:
-        yield "equivalence verdict covered fewer than 1000 lines"
-    if summary.get("block_size", 0) < 2:
-        yield "batched run degenerated to per-line blocks"
-
-
 def check_adaptive(summary):
     if summary.get("min_adp_vs_worst", 0) < 1.02:
         yield "adaptive lost to the worst static arm on some workload"
@@ -200,7 +189,6 @@ CHECKS = {
     "failover": check_failover,
     "cluster": check_cluster,
     "cluster_scaling": check_cluster_scaling,
-    "hotpath_batch": check_hotpath_batch,
     "adaptive_tuning": check_adaptive,
     "tiers": check_tiers,
 }
@@ -553,7 +541,6 @@ UNGATED_TABLES = (
     (("claim", "paper"), "headline roll-up of already-gated tables"),
     (("scheme", "paper scale"), "paper-scale appendix, regenerated manually"),
     (("metric", "pre-kernels"), "machine-dependent throughput"),
-    (("metric", "vs scalar"), "machine-dependent throughput"),
     (("stage", "total ms"), "machine-dependent latency profile"),
 )
 
