@@ -1,5 +1,7 @@
 """Workload substrate: patterns, profiles, streams, mixes."""
 
+import hashlib
+
 import pytest
 
 from repro.sim.memlink import scale_profile
@@ -18,6 +20,7 @@ from repro.trace.profiles import (
     ALL_BENCHMARKS,
     NON_TRIVIAL,
     SPEC2006,
+    TIER_BENCHMARKS,
     ZERO_DOMINANT,
     get_profile,
 )
@@ -286,3 +289,47 @@ class TestSparseFiberArchetype:
         )
         assert result.transfers > 0
         assert result.raw_ratio > 1.0
+
+
+def _trace_digest() -> str:
+    """SHA-256 over everything the trace generator emits: initial
+    content for every profile and copy, access streams (with their
+    write data) under one and four phases, and a Table VI interleave
+    read back through the shared backing store."""
+    h = hashlib.sha256()
+    base = 0x5A5A0
+    for name in ALL_BENCHMARKS + TIER_BENCHMARKS:
+        for copy_id in (0, 1):
+            model = WorkloadModel(name, seed=7, addr_base=base, copy_id=copy_id)
+            for offset in range(512):
+                h.update(model.initial_content(base + offset))
+    for name in ("gcc", "lbm", "spmv"):
+        # One model serves both phase counts, so the second stream runs
+        # over the first one's writes.
+        model = WorkloadModel(name, seed=3)
+        touched = []
+        for phases in (1, 4):
+            for access in model.accesses(2000, phases=phases):
+                touched.append(access.line_addr)
+                h.update(access.line_addr.to_bytes(8, "big"))
+                h.update(b"W" if access.is_write else b"R")
+                h.update(access.write_data or b"")
+        for addr in touched:
+            h.update(model.initial_content(addr))
+            h.update(model.current_content(addr))
+    mix = MultiprogramWorkload.table_vi("MIX2", seed=5)
+    for tagged in mix.interleaved(300):
+        access = tagged.access
+        h.update(bytes([tagged.slot]))
+        h.update(access.line_addr.to_bytes(8, "big"))
+        h.update(access.write_data or mix.backing.read(access.line_addr))
+    return h.hexdigest()
+
+
+#: Pinned before any change to the generator: every optimisation of
+#: :class:`WorkloadModel` must leave its output byte-identical.
+TRACE_DIGEST = "9812aeea95bbc4ee9d9ab7542148a8d7decc0f7a275f598f5f1e7b9b233f9ebc"
+
+
+def test_trace_generator_output_is_pinned():
+    assert _trace_digest() == TRACE_DIGEST
