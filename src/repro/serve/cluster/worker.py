@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import logging
 import os
 import sys
 import time
@@ -65,6 +66,8 @@ from repro.serve.transport import READ_CHUNK, StreamSender
 #: the shipper's job, and control messages are latency-sensitive.
 _SHIP_FLUSH = 0.0
 
+_LOG = logging.getLogger(__name__)
+
 
 class ClusterWorker:
     """Event-loop state of one worker process."""
@@ -99,7 +102,12 @@ class ClusterWorker:
         self._slow_s = 0.0
         self._draining = False
         self._done = asyncio.Event()
-        self.stats = {"adopted": 0, "adoption_conflicts": 0, "rebinds": 0}
+        self.stats = {
+            "adopted": 0,
+            "adoption_conflicts": 0,
+            "rebinds": 0,
+            "ship_setup_failures": 0,
+        }
 
     # ------------------------------------------------------------------
     # Shipping (outbound, to the buddy)
@@ -140,7 +148,9 @@ class ClusterWorker:
                 try:
                     SessionShipper(session, self._ship_send)
                 except Exception:
-                    continue  # e.g. durability disarmed; serve it unshipped
+                    # e.g. durability disarmed: serve it unshipped, but
+                    # counted (drain rollup) and logged.
+                    self._ship_setup_failed(session)
             else:
                 shipper.rebind(self._ship_send)
         await sender.drain()
@@ -148,6 +158,16 @@ class ClusterWorker:
         # landing now could still eat buffered seeds. The MARK echo
         # proves the buddy actually consumed everything sent so far.
         return await self._ship_barrier()
+
+    def _ship_setup_failed(self, session) -> None:
+        self.stats["ship_setup_failures"] += 1
+        _LOG.warning(
+            "worker %d: shipper setup failed for session tag %#x; "
+            "it runs unreplicated",
+            self.worker_id,
+            session.state.client_tag,
+            exc_info=True,
+        )
 
     async def _ship_barrier(self, timeout: float = 10.0) -> bool:
         """Round-trip a delivery barrier through the buddy; True once
@@ -372,6 +392,10 @@ class ClusterWorker:
         self._draining = True
         report = await self.service.drain()
         await self.service.stop()
+        # A worker-level failure the per-session roll-up cannot see.
+        failures = report["ship_setup_failures"] = self.stats["ship_setup_failures"]
+        if METRICS.enabled:
+            METRICS.gauge("serve.drain.ship_setup_failures").set(failures)
         shipping = {
             "seeds": 0,
             "batches_shipped": 0,
@@ -498,8 +522,6 @@ def main(argv=None) -> int:
     # Siblings die under us by design (kill campaigns); asyncio logs a
     # warning per dead socket, which would flood the supervisor's
     # inherited stderr.
-    import logging
-
     logging.getLogger("asyncio").setLevel(logging.ERROR)
     tuning = None
     if args.tune:

@@ -28,6 +28,7 @@ from repro.core.encoder import CableLinkPair
 from repro.link.channel import LinkModel
 from repro.sim.memlink import _StreamCodec, scale_profile
 from repro.trace.mixes import MultiprogramWorkload
+from repro.trace.profiles import get_profile
 
 
 @dataclass
@@ -86,10 +87,12 @@ def run_multiprogram(
     n = len(names)
     link_model = LinkModel()
 
-    workload = MultiprogramWorkload(names, seed=seed, replicate=replicate)
     # Scale each program's footprint like the single-program runs do.
-    for model in workload.workloads:
-        model.profile = scale_profile(model.profile, preset.ws_scale)
+    workload = MultiprogramWorkload(
+        tuple(scale_profile(get_profile(name), preset.ws_scale) for name in names),
+        seed=seed,
+        replicate=replicate,
+    )
 
     llc = SetAssociativeCache(
         CacheGeometry(preset.llc_bytes * n, 8), name="llc-shared"

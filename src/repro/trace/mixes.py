@@ -58,11 +58,16 @@ class MultiprogramWorkload:
         replicate: bool = False,
     ) -> None:
         """``replicate`` marks SPECrate-style runs: all slots share
-        archetypes (copies of one program) but mutate independently."""
-        self.names = tuple(benchmark_names)
+        archetypes (copies of one program) but mutate independently.
+        Each entry of *benchmark_names* is a profile name or a
+        :class:`BenchmarkProfile` (e.g. one with a scaled footprint)."""
+        profiles = [
+            get_profile(entry) if isinstance(entry, str) else entry
+            for entry in benchmark_names
+        ]
+        self.names = tuple(profile.name for profile in profiles)
         self.workloads: List[WorkloadModel] = []
-        for slot, name in enumerate(self.names):
-            profile = get_profile(name)
+        for slot, profile in enumerate(profiles):
             self.workloads.append(
                 WorkloadModel(
                     profile,

@@ -38,7 +38,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, List
 
-from repro.util.rng import make_rng
 from repro.util.words import words_to_bytes
 
 LINE_BYTES = 64
@@ -211,10 +210,12 @@ def shift_line(line: bytes, byte_shift: int) -> bytes:
 
 
 def family_member(
-    archetype: bytes, seed: int, member_id: int, word_edits: int, shift_prob: float
+    archetype: bytes, rng, word_edits: int, shift_prob: float
 ) -> bytes:
-    """The member_id-th copy of an archetype: mutated, maybe shifted."""
-    rng = make_rng(seed, "family-member", member_id)
+    """One copy of an archetype: mutated, maybe shifted.
+
+    *rng* names the member; a workload seeds it from
+    ``(member seed, "family-member", member_id)``."""
     line = mutate_line(archetype, rng, rng.randint(0, word_edits))
     if rng.random() < shift_prob:
         line = shift_line(line, rng.choice((1, 2, 3, 5, 6, 7, 9)))

@@ -18,6 +18,7 @@ window or only within the LLC-sized dictionary CABLE sees.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
@@ -27,7 +28,7 @@ from repro.trace.patterns import (
     mutate_line,
 )
 from repro.trace.profiles import BenchmarkProfile, get_profile
-from repro.util.rng import make_rng, stable_hash64
+from repro.util.rng import make_rng, stable_hash64, stable_hasher
 
 _U64 = float(1 << 64)
 
@@ -58,7 +59,8 @@ class WorkloadModel:
     ) -> None:
         if isinstance(profile_or_name, str):
             profile_or_name = get_profile(profile_or_name)
-        self.profile: BenchmarkProfile = profile_or_name
+        profile: BenchmarkProfile = profile_or_name
+        self.profile = profile
         self.seed = seed
         self.addr_base = addr_base
         #: Distinguishes replicated copies of the same program
@@ -67,6 +69,32 @@ class WorkloadModel:
         self.copy_id = copy_id
         self._archetypes: Dict[int, bytes] = {}
         self._written: Dict[int, bytes] = {}
+        # Initial content is a pure function of the address, so each
+        # line is generated once; the memo holds at most one entry per
+        # line the model is asked for (the working set, for a store
+        # that routes by owner).
+        self._initial: Dict[int, bytes] = {}
+
+        # Per-model constants of the content recipe. The profile is
+        # fixed for the model's life.
+        self._cluster_hash = stable_hasher(seed, profile.name, "cluster")
+        self._member_hash = stable_hasher(
+            stable_hash64(seed, profile.name, copy_id), "family-member"
+        )
+        self._line_hash = stable_hasher(seed, profile.name, copy_id, "pline")
+        # Reseeded per generated line: ``seed`` resets all state
+        # (``gauss_next`` included), so it draws exactly what a fresh
+        # ``random.Random(seed)`` would.
+        self._line_rng = random.Random()
+        weights = profile.pattern_weights
+        total = sum(weights.values())
+        acc = 0.0
+        bounds = []
+        for name, weight in weights.items():
+            acc += weight / total
+            bounds.append((acc, PATTERN_GENERATORS[name]))
+        self._pattern_bounds = tuple(bounds)
+        self._pattern_fallback = PATTERN_GENERATORS[next(iter(weights))]
 
     # ------------------------------------------------------------------
     # Memory content
@@ -85,35 +113,34 @@ class WorkloadModel:
         return cached
 
     def _pick_pattern(self, point: float):
-        weights = self.profile.pattern_weights
-        total = sum(weights.values())
-        acc = 0.0
-        for name, weight in weights.items():
-            acc += weight / total
-            if point < acc:
-                return PATTERN_GENERATORS[name]
-        return PATTERN_GENERATORS[next(iter(weights))]
+        for bound, generator in self._pattern_bounds:
+            if point < bound:
+                return generator
+        return self._pattern_fallback
 
     def initial_content(self, line_addr: int) -> bytes:
-        """The line's content before any write (pure function).
+        """The line's content before any write (pure function)."""
+        content = self._initial.get(line_addr)
+        if content is None:
+            content = self._initial[line_addr] = self._generate(line_addr)
+        return content
 
-        Family membership is decided per *cluster* of
+    def _generate(self, line_addr: int) -> bytes:
+        """Family membership is decided per *cluster* of
         ``profile.cluster_lines`` contiguous lines, so one family's
         members form several scattered runs of similar lines — arrays
         of like objects locally, duplicated structures globally."""
+        profile = self.profile
         offset = line_addr - self.addr_base
-        cluster = offset // self.profile.cluster_lines
-        h = stable_hash64(self.seed, self.profile.name, "cluster", cluster)
-        if (h / _U64) < self.profile.family_weight:
-            family = h % self.profile.family_count
+        h = self._cluster_hash(offset // profile.cluster_lines)
+        rng = self._line_rng
+        if (h / _U64) < profile.family_weight:
+            archetype = self._archetype(h % profile.family_count)
+            rng.seed(self._member_hash(offset))
             return family_member(
-                self._archetype(family),
-                stable_hash64(self.seed, self.profile.name, self.copy_id),
-                offset,
-                self.profile.mutation_words,
-                self.profile.shift_prob,
+                archetype, rng, profile.mutation_words, profile.shift_prob
             )
-        rng = make_rng(self.seed, self.profile.name, self.copy_id, "pline", offset)
+        rng.seed(self._line_hash(offset))
         return self._pick_pattern(rng.random())(rng)
 
     def current_content(self, line_addr: int) -> bytes:

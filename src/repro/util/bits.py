@@ -64,13 +64,17 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first reader over bytes produced by :class:`BitWriter`."""
+    """MSB-first reader over bytes produced by :class:`BitWriter`.
+
+    The stream is held as one big-endian integer, so a field of any
+    width is a single shift and mask."""
 
     def __init__(self, data: bytes, bit_count: int = None) -> None:
-        self._data = data
+        self._value = int.from_bytes(data, "big")
+        self._total = len(data) * 8
         self._pos = 0
-        self._limit = len(data) * 8 if bit_count is None else bit_count
-        if self._limit > len(data) * 8:
+        self._limit = self._total if bit_count is None else bit_count
+        if self._limit > self._total:
             raise ValueError("bit_count exceeds available data")
 
     def read(self, width: int) -> int:
@@ -78,17 +82,11 @@ class BitReader:
             raise ValueError("width must be non-negative")
         if width == 0:
             return 0
-        if self._pos + width > self._limit:
+        end = self._pos + width
+        if end > self._limit:
             raise EOFError("bit stream exhausted")
-        value = 0
-        pos = self._pos
-        for _ in range(width):
-            byte = self._data[pos >> 3]
-            bit = (byte >> (7 - (pos & 7))) & 1
-            value = (value << 1) | bit
-            pos += 1
-        self._pos = pos
-        return value
+        self._pos = end
+        return (self._value >> (self._total - end)) & ((1 << width) - 1)
 
     def read_bytes(self, count: int) -> bytes:
         return bytes(self.read(8) for _ in range(count))

@@ -458,6 +458,84 @@ class TestSessionAdmission:
 
 
 # ---------------------------------------------------------------------------
+# Shipper-setup failures surface in the drain roll-up
+# ---------------------------------------------------------------------------
+
+
+class TestShipSetupFailure:
+    def test_failed_shipper_setup_reaches_the_rollup(self, monkeypatch, caplog):
+        import types
+
+        from repro.obs.registry import METRICS
+        from repro.serve.cluster import worker as worker_mod
+
+        poisoned = 0x2B
+
+        def shipper(session, send):
+            if session.state.client_tag == poisoned:
+                raise RuntimeError("injected shipper setup failure")
+            return SessionShipper(session, send)
+
+        monkeypatch.setattr(worker_mod, "SessionShipper", shipper)
+        was_enabled = METRICS.enabled
+        METRICS.enable()
+
+        async def scenario():
+            # A buddy that accepts the ship link and ignores it; the
+            # delivery barrier is not what this test is about.
+            buddy = await asyncio.start_server(
+                lambda reader, writer: None, "127.0.0.1", 0
+            )
+            port = buddy.sockets[0].getsockname()[1]
+            worker = worker_mod.ClusterWorker(7, "127.0.0.1", 0, ServeConfig())
+            sent = []
+            worker._ctrl_send = sent.append
+
+            async def barrier(timeout=10.0):
+                return True
+
+            worker._ship_barrier = barrier
+            for tag in (0x2A, poisoned, 0x2C):
+                worker.manager.open(0, tag, 0, 0)
+            assert await worker._set_buddy("127.0.0.1", port)
+            # The next rebind fails again and is counted again.
+            assert await worker._set_buddy("127.0.0.1", port)
+            await worker._drain()
+            await worker._teardown_ship_link()
+            buddy.close()
+            await buddy.wait_closed()
+            return worker, sent
+
+        try:
+            with caplog.at_level("WARNING", logger=worker_mod.__name__):
+                worker, sent = asyncio.run(scenario())
+            gauge = METRICS.gauge("serve.drain.ship_setup_failures").value
+        finally:
+            METRICS.reset()
+            if not was_enabled:
+                METRICS.disable()
+
+        shipped = [
+            s.state.client_tag
+            for s in worker.manager.sessions.values()
+            if s.state.shipper is not None
+        ]
+        assert sorted(shipped) == [0x2A, 0x2C]
+        assert worker.stats["ship_setup_failures"] == 2
+        assert gauge == 2
+        warnings = [r for r in caplog.records if "0x2b" in r.getMessage()]
+        assert len(warnings) == 2
+        (drained,) = sent
+        assert drained["kind"] == "drained"
+        assert drained["report"]["ship_setup_failures"] == 2
+        rollup = ClusterService()._merge_reports(
+            [types.SimpleNamespace(drain_payload=drained)]
+        )
+        assert rollup["serve"]["ship_setup_failures"] == 2
+        assert rollup["workers"]["ship_setup_failures"] == 2
+
+
+# ---------------------------------------------------------------------------
 # End to end: two workers, one SIGKILL, session resumes on the buddy
 # ---------------------------------------------------------------------------
 

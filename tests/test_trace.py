@@ -64,8 +64,12 @@ class TestPatterns:
     def test_family_members_similar(self):
         rng = make_rng(3)
         archetype = PATTERN_GENERATORS["struct"](rng)
-        a = family_member(archetype, 42, 1, word_edits=1, shift_prob=0.0)
-        b = family_member(archetype, 42, 2, word_edits=1, shift_prob=0.0)
+        a = family_member(
+            archetype, make_rng(42, "family-member", 1), word_edits=1, shift_prob=0.0
+        )
+        b = family_member(
+            archetype, make_rng(42, "family-member", 2), word_edits=1, shift_prob=0.0
+        )
         matches = sum(
             1 for i in range(16) if a[i * 4 : i * 4 + 4] == b[i * 4 : i * 4 + 4]
         )
@@ -74,9 +78,9 @@ class TestPatterns:
     def test_family_members_deterministic(self):
         rng = make_rng(4)
         archetype = PATTERN_GENERATORS["float"](rng)
-        assert family_member(archetype, 7, 9, 2, 0.1) == family_member(
-            archetype, 7, 9, 2, 0.1
-        )
+        assert family_member(
+            archetype, make_rng(7, "family-member", 9), 2, 0.1
+        ) == family_member(archetype, make_rng(7, "family-member", 9), 2, 0.1)
 
 
 class TestProfiles:
@@ -157,6 +161,25 @@ class TestWorkloadModel:
         for access in model.accesses(500):
             assert 1000 <= access.line_addr < 1000 + ws
             assert model.owns(access.line_addr)
+
+    def test_initial_content_is_memoized(self):
+        model = WorkloadModel("gcc", seed=5)
+        fresh = WorkloadModel("gcc", seed=5)
+        first = [model.initial_content(addr) for addr in range(64)]
+        assert all(
+            model.initial_content(addr) is line for addr, line in enumerate(first)
+        )
+        # Writes through the stream change the logical view only.
+        for access in model.accesses(3000):
+            if access.is_write:
+                assert model.initial_content(access.line_addr) == (
+                    fresh.initial_content(access.line_addr)
+                )
+        assert [model.initial_content(addr) for addr in range(64)] == first
+        assert any(
+            model.current_content(addr) != model.initial_content(addr)
+            for addr in model._written
+        )
 
     def test_stream_deterministic_per_id(self):
         model = WorkloadModel("gcc", seed=5)

@@ -101,3 +101,68 @@ class TestRoundTrip:
         reader = BitReader(writer.getvalue(), writer.bit_count)
         decoded = [reader.read(width) for width in widths]
         assert decoded == list(values)
+
+
+def _oracle_read(data: bytes, pos: int, width: int) -> int:
+    """Bit-at-a-time MSB-first read: the reference for BitReader."""
+    value = 0
+    for bit_pos in range(pos, pos + width):
+        value = (value << 1) | ((data[bit_pos >> 3] >> (7 - (bit_pos & 7))) & 1)
+    return value
+
+
+@st.composite
+def _reads(draw):
+    data = draw(st.binary(max_size=40))
+    limit = draw(st.integers(0, len(data) * 8))
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("read"), st.integers(0, 64)),
+                st.tuples(st.just("seek"), st.integers(0, limit)),
+            ),
+            max_size=30,
+        )
+    )
+    return data, limit, ops
+
+
+class TestReaderOracle:
+    @given(_reads())
+    def test_matches_bit_at_a_time_oracle(self, case):
+        data, limit, ops = case
+        reader = BitReader(data, limit)
+        pos = 0
+        for op, arg in ops:
+            if op == "seek":
+                reader.seek(arg)
+                pos = arg
+            elif pos + arg > limit:
+                # EOF at the bit_count limit, not at the end of the bytes.
+                with pytest.raises(EOFError):
+                    reader.read(arg)
+            else:
+                assert reader.read(arg) == _oracle_read(data, pos, arg)
+                pos += arg
+            assert reader.bits_remaining == limit - pos
+
+    @given(st.binary(max_size=16), st.integers(0, 16))
+    def test_read_bytes_matches_oracle(self, data, skip):
+        skip = min(skip, len(data) * 8)
+        reader = BitReader(data)
+        reader.seek(skip)
+        count = (len(data) * 8 - skip) // 8
+        expected = bytes(_oracle_read(data, skip + 8 * i, 8) for i in range(count))
+        assert reader.read_bytes(count) == expected
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            BitReader(b"\x00", 9)
+        reader = BitReader(b"\xff\xff", 12)
+        with pytest.raises(ValueError):
+            reader.read(-1)
+        with pytest.raises(ValueError):
+            reader.seek(13)
+        assert reader.read(12) == 0xFFF
+        with pytest.raises(EOFError):
+            reader.read(1)

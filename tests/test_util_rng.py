@@ -1,6 +1,8 @@
 """Deterministic randomness helpers."""
 
-from repro.util.rng import make_rng, stable_hash64
+from hypothesis import given, strategies as st
+
+from repro.util.rng import make_rng, stable_hash64, stable_hasher
 
 
 class TestStableHash:
@@ -34,3 +36,17 @@ class TestMakeRng:
         a = make_rng(1, "stream-a")
         b = make_rng(1, "stream-b")
         assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+
+
+_parts = st.one_of(
+    st.integers(), st.text(max_size=8), st.tuples(st.integers(), st.text(max_size=4))
+)
+
+
+class TestStableHasher:
+    @given(st.lists(_parts, max_size=4), st.lists(_parts, min_size=1, max_size=6))
+    def test_equals_stable_hash64_with_prefix(self, prefix, items):
+        hasher = stable_hasher(*prefix)
+        for item in items:
+            # Repeated calls continue from the same prefix state.
+            assert hasher(item) == stable_hash64(*prefix, item)

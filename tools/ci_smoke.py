@@ -309,29 +309,36 @@ def smoke_cluster_soak() -> int:
 
 
 def smoke_perfbench() -> int:
-    """One short run of every repo benchmark workload on seed 0.
+    """Short runs of every repo benchmark workload on seed 0.
 
     ``perfbench/run.py`` exits nonzero when an output differs from its
     pinned digest, when samples disagree or when an operation fails, so
     a change meant only to be faster that alters what the program
-    computes fails here. The workloads are the ones ``BENCHMARK.json``
+    computes fails here. Each workload then runs once more traced
+    (``--trace 1``), which also fails when a layer the workload must
+    exercise records no call, or when the layer self times exceed the
+    traced wall time. The workloads are the ones ``BENCHMARK.json``
     declares.
     """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     failed = []
-    for workload in (entry["name"] for entry in spec["workloads"]):
-        done = subprocess.run(
-            [
-                sys.executable, "perfbench/run.py", "--workload", workload,
-                "--seed", "0", "--seconds", "1", "--trace", "0",
-            ],
-            cwd=ROOT, capture_output=True, text=True,
-        )
-        lines = done.stdout.strip().splitlines()
-        print(f"{workload}: exit={done.returncode} {lines[-1] if lines else ''}")
-        if done.returncode != 0:
-            sys.stderr.write(done.stderr)
-            failed.append(workload)
+    for trace in ("0", "1"):
+        for workload in (entry["name"] for entry in spec["workloads"]):
+            done = subprocess.run(
+                [
+                    sys.executable, "perfbench/run.py", "--workload", workload,
+                    "--seed", "0", "--seconds", "1", "--trace", trace,
+                ],
+                cwd=ROOT, capture_output=True, text=True,
+            )
+            lines = done.stdout.strip().splitlines()
+            print(
+                f"{workload} --trace {trace}: exit={done.returncode} "
+                f"{lines[-1] if lines else ''}"
+            )
+            if done.returncode != 0:
+                sys.stderr.write(done.stderr)
+                failed.append(f"{workload} --trace {trace}")
     assert not failed, f"perfbench failed on {', '.join(failed)}"
     return 0
 
