@@ -33,6 +33,8 @@ reordered/replayed frames (see :mod:`repro.link.recovery`).
 
 from __future__ import annotations
 
+import struct
+from binascii import crc_hqx
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import List, Optional, Tuple
@@ -105,52 +107,89 @@ class WireFormat:
 
 # ---------------------------------------------------------------- LBE
 
+#: Big-endian packers for 0..16 literal words (LBE ``lit`` runs).
+_BE_WORDS = tuple(struct.Struct(f">{count}I") for count in range(17))
+
+
 def _lbe_encode(tokens, writer: BitWriter, off_bits: int) -> None:
+    # Every field goes into one local integer, written as one field.
+    acc = width = 0
     for token in tokens:
         kind = token[0]
+        body = body_bits = 0
         if kind == "zero":
-            writer.write(0b00, 2)
-            writer.write(token[1] - 1, 4)
+            head, head_bits, count = 0b00, 2, token[1]
         elif kind == "copy":
-            writer.write(0b01, 2)
-            writer.write(token[1], off_bits)
-            writer.write(token[2] - 1, 4)
+            __, offset, count = token
+            if not 0 <= offset < 1 << off_bits:
+                raise ValueError(f"LBE copy offset {offset} does not fit {off_bits} bits")
+            head, head_bits = 0b01 << off_bits | offset, 2 + off_bits
         elif kind == "lit":
-            writer.write(0b10, 2)
-            writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 32)
+            count = len(token[1])
+            head, head_bits, body_bits = 0b10, 2, 32 * count
+            body = int.from_bytes(_BE_WORDS[count].pack(*token[1]), "big")
         elif kind == "byte":
-            writer.write(0b11, 2)
-            writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 8)
+            count = len(token[1])
+            head, head_bits, body_bits = 0b11, 2, 8 * count
+            body = int.from_bytes(bytes(token[1]), "big")
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown LBE token {kind!r}")
+        if not 0 < count <= 16:
+            raise ValueError(f"LBE run of {count} words does not fit 4 bits")
+        acc = (((acc << head_bits | head) << 4 | count - 1) << body_bits) | body
+        width += head_bits + 4 + body_bits
+    writer.write(acc, width)
 
 
-def _lbe_decode(reader: BitReader, off_bits: int, words_per_line: int):
+def _lbe_decode(
+    reader: BitReader, off_bits: int, words_per_line: int, window_words: int
+):
+    """Parse one LBE token stream. Fields are cut from the unread bits
+    held as one integer; a copy must address words that exist (the
+    *window_words* of the references plus the words produced so far)."""
+    value, avail = reader.unread()
+    copy_bits = 6 + off_bits
+    off_mask = (1 << off_bits) - 1
     tokens: List[Tuple] = []
-    produced = 0
+    produced = pos = 0
     while produced < words_per_line:
-        op = reader.read(2)
-        if op == 0b00:
-            length = reader.read(4) + 1
-            tokens.append(("zero", length))
-            produced += length
-        elif op == 0b01:
-            offset = reader.read(off_bits)
-            length = reader.read(4) + 1
-            tokens.append(("copy", offset, length))
-            produced += length
-        elif op == 0b10:
-            count = reader.read(4) + 1
-            tokens.append(("lit", tuple(reader.read(32) for _ in range(count))))
-            produced += count
+        if pos + 2 > avail:
+            raise EOFError("bit stream exhausted")
+        op = (value >> (avail - pos - 2)) & 0b11
+        if op == 0b01:
+            end = pos + copy_bits
+            if end > avail:
+                raise EOFError("bit stream exhausted")
+            field = value >> (avail - end)
+            offset = (field >> 4) & off_mask
+            count = (field & 0xF) + 1
+            if offset >= window_words + produced:
+                raise CorruptPayloadError(
+                    f"LBE copy offset {offset} outside the "
+                    f"{window_words + produced}-word copy space"
+                )
+            tokens.append(("copy", offset, count))
         else:
-            count = reader.read(4) + 1
-            tokens.append(("byte", tuple(reader.read(8) for _ in range(count))))
-            produced += count
+            end = pos + 6
+            if end > avail:
+                raise EOFError("bit stream exhausted")
+            count = ((value >> (avail - end)) & 0xF) + 1
+            if op == 0b00:
+                tokens.append(("zero", count))
+            else:
+                body_bits = (32 if op == 0b10 else 8) * count
+                end += body_bits
+                if end > avail:
+                    raise EOFError("bit stream exhausted")
+                body = (value >> (avail - end)) & ((1 << body_bits) - 1)
+                data = body.to_bytes(body_bits // 8, "big")
+                if op == 0b10:
+                    tokens.append(("lit", _BE_WORDS[count].unpack(data)))
+                else:
+                    tokens.append(("byte", tuple(data)))
+        produced += count
+        pos = end
+    reader.skip(pos)
     if produced != words_per_line:
         raise CorruptPayloadError(
             f"LBE stream produced {produced} words for a {words_per_line}-word line"
@@ -477,7 +516,12 @@ def _parse_payload(
     lids = tuple(LineId(reader.read(fmt.remotelid_bits)) for _ in range(refcount))
     words = fmt.words_per_line
     if engine_name.startswith("lbe"):
-        tokens = _lbe_decode(reader, fmt.lbe_offset_bits(refcount), words)
+        window_words = (
+            refcount * words if refcount else fmt.lbe_window_bytes // WORD_BYTES
+        )
+        tokens = _lbe_decode(
+            reader, fmt.lbe_offset_bits(refcount), words, window_words
+        )
         algorithm = "lbe"
     elif engine_name.startswith("cpack"):
         tokens = _cpack_decode(reader, fmt.cpack_index_bits(refcount), words)
@@ -499,7 +543,10 @@ def _parse_payload(
             algorithm = "oracle"
         else:
             tokens = _lbe_decode(
-                reader, fmt.lbe_reference_offset_bits(refcount), words
+                reader,
+                fmt.lbe_reference_offset_bits(refcount),
+                words,
+                refcount * words,
             )
             algorithm = "lbe"
     else:  # pragma: no cover - defensive
@@ -540,17 +587,6 @@ def _crc_table(width: int):
     return table
 
 
-def _bit_prefix(data: bytes, bits: int) -> bytes:
-    """The first *bits* bits of *data*, zero-padded to a byte — the
-    exact bytes :meth:`BitWriter.getvalue` produces for that prefix."""
-    nbytes = (bits + 7) // 8
-    chunk = bytearray(data[:nbytes])
-    pad = nbytes * 8 - bits
-    if pad and nbytes:
-        chunk[-1] &= (0xFF << pad) & 0xFF
-    return bytes(chunk)
-
-
 def frame_crc(data: bytes, bits: int, width: int = 16) -> int:
     """CRC over the first *bits* bits of *data* plus the bit length.
 
@@ -559,6 +595,23 @@ def frame_crc(data: bytes, bits: int, width: int = 16) -> int:
     generator polynomials (CRC-8 0x07, CRC-16-CCITT 0x1021) detect
     every single-bit and every double-bit error at these frame sizes.
     """
+    if bits > len(data) * 8:
+        raise ValueError(f"{bits} bits asked of {len(data)} bytes")
+    nbytes = (bits + 7) // 8
+    prefix = int.from_bytes(data[:nbytes], "big") >> (nbytes * 8 - bits)
+    return _crc(prefix, bits, width)
+
+
+def _crc(prefix: int, bits: int, width: int) -> int:
+    """:func:`frame_crc` of a prefix held as a *bits*-bit integer: the
+    CRC runs over it zero-padded to a byte, then ``bits`` as 4 bytes."""
+    pad = -bits % 8
+    message = (prefix << pad).to_bytes((bits + pad) // 8, "big")
+    message += bits.to_bytes(4, "big")
+    if width == 16:
+        # CRC-16-CCITT as specified here (poly 0x1021, init 0xFFFF, MSB
+        # first, no final xor) is exactly binascii.crc_hqx from 0xFFFF.
+        return crc_hqx(message, 0xFFFF)
     if width not in _CRC_PARAMS:
         raise ValueError(f"unsupported CRC width {width}")
     table = _crc_table(width)
@@ -566,9 +619,32 @@ def frame_crc(data: bytes, bits: int, width: int = 16) -> int:
     mask = (1 << width) - 1
     shift = width - 8
     crc = init
-    for byte in _bit_prefix(data, bits) + bits.to_bytes(4, "big"):
+    for byte in message:
         crc = ((crc << 8) ^ table[((crc >> shift) ^ byte) & 0xFF]) & mask
     return crc
+
+
+def _verify_crc(data: bytes, bit_count: int, crc_bits: int, what: str) -> None:
+    """Check the trailing CRC of a *bit_count*-bit frame; raises
+    :class:`CrcMismatchError` before any other field is believed."""
+    frame = int.from_bytes(data, "big") >> (len(data) * 8 - bit_count)
+    received = frame & ((1 << crc_bits) - 1)
+    computed = _crc(frame >> crc_bits, bit_count - crc_bits, crc_bits)
+    if received != computed:
+        raise CrcMismatchError(f"{what} CRC {received:#x} != computed {computed:#x}")
+
+
+class Frame(BitWriter):
+    """One encoded link frame: ``seq | body | crc`` as a single field.
+
+    :attr:`body` is the payload serialisation the frame wraps. Passing
+    it back as ``encode_frame(..., body=frame.body)`` frames the same
+    payload under another sequence tag without serialising it again.
+    """
+
+    def __init__(self, body: BitWriter) -> None:
+        super().__init__()
+        self.body = body
 
 
 def encode_frame(
@@ -578,31 +654,36 @@ def encode_frame(
     seq: int = 0,
     crc_bits: int = 16,
     seq_bits: int = FRAME_SEQ_BITS,
-) -> BitWriter:
+    body: Optional[BitWriter] = None,
+) -> Frame:
     """Wrap a payload in a link-layer frame: ``seq | payload | crc``.
 
     Handles the ORACLE hybrid's LBE arm transparently (the payload
-    records which arm won via its block's algorithm).
+    records which arm won via its block's algorithm). *body*, when
+    given, must be the serialisation of *payload* under the same
+    *fmt* and *engine_name* (a previous frame's :attr:`Frame.body`).
     """
     enabled = METRICS.enabled
     if enabled:
         t0 = perf_counter_ns()
-    if (
-        engine_name.startswith("oracle")
-        and payload.kind is not PayloadKind.UNCOMPRESSED
-        and payload.block.algorithm.startswith("lbe")
-    ):
-        body = encode_oracle_hybrid_lbe(payload, fmt)
-    else:
-        body = encode_payload(payload, fmt)
-    writer = BitWriter()
-    writer.write(seq & ((1 << seq_bits) - 1), seq_bits)
-    writer.extend(body)
-    crc = frame_crc(writer.getvalue(), writer.bit_count, crc_bits)
-    writer.write(crc, crc_bits)
+    if body is None:
+        if (
+            engine_name.startswith("oracle")
+            and payload.kind is not PayloadKind.UNCOMPRESSED
+            and payload.block.algorithm.startswith("lbe")
+        ):
+            body = encode_oracle_hybrid_lbe(payload, fmt)
+        else:
+            body = encode_payload(payload, fmt)
+    body_bits = body.bit_count
+    prefix_bits = seq_bits + body_bits
+    prefix = ((seq & ((1 << seq_bits) - 1)) << body_bits) | body.value()
+    crc = _crc(prefix, prefix_bits, crc_bits)
+    frame = Frame(body)
+    frame.write((prefix << crc_bits) | crc, prefix_bits + crc_bits)
     if enabled:
         _STAGE_FRAME_ENCODE.observe(perf_counter_ns() - t0)
-    return writer
+    return frame
 
 
 def decode_frame(
@@ -631,15 +712,8 @@ def decode_frame(
         raise TruncatedPayloadError(
             f"frame of {bit_count} bits cannot hold seq+payload+crc"
         )
+    _verify_crc(data, bit_count, crc_bits, "frame")
     prefix_bits = bit_count - crc_bits
-    stored = BitReader(data, bit_count)
-    stored.seek(prefix_bits)  # jump to the trailing CRC field
-    received_crc = stored.read(crc_bits)
-    computed = frame_crc(data, prefix_bits, crc_bits)
-    if received_crc != computed:
-        raise CrcMismatchError(
-            f"frame CRC {received_crc:#x} != computed {computed:#x}"
-        )
     reader = BitReader(data, prefix_bits)
     seq = reader.read(seq_bits)
     if expected_seq is not None and seq != expected_seq:
@@ -839,16 +913,8 @@ def decode_epoch_frame(
         raise TruncatedPayloadError(
             f"epoch frame of {bit_count} bits, expected {expected}"
         )
-    prefix_bits = bit_count - crc_bits
-    stored = BitReader(data, bit_count)
-    stored.seek(prefix_bits)
-    received_crc = stored.read(crc_bits)
-    computed = frame_crc(data, prefix_bits, crc_bits)
-    if received_crc != computed:
-        raise CrcMismatchError(
-            f"epoch frame CRC {received_crc:#x} != computed {computed:#x}"
-        )
-    reader = BitReader(data, prefix_bits)
+    _verify_crc(data, bit_count, crc_bits, "epoch frame")
+    reader = BitReader(data, bit_count - crc_bits)
     reader.read(seq_bits)
     if reader.read(8) != EPOCH_FRAME_MAGIC:
         raise CorruptPayloadError("epoch frame magic mismatch")

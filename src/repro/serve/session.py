@@ -153,9 +153,9 @@ class Session:
         self.config = config
         self.state = SessionState(session_id, client_tag, config)
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=config.queue_depth)
-        #: (access index, frame pos) → (direction, seq, bytes, bits).
+        #: (access index, frame pos) → (direction, seq, bytes, bits),
+        #: oldest first (dict insertion order is the eviction order).
         self.window: Dict[Tuple[int, int], Tuple[int, int, bytes, int]] = {}
-        self._window_order: List[Tuple[int, int]] = []
         self.seq = 0
         self.wire_faults: Optional[WireFaultInjector] = None
         self.channel_faults: Optional[ChannelFaultInjector] = None
@@ -337,8 +337,8 @@ class Session:
         if METRICS.enabled:
             _CTR_ACCESSES.inc()
         sent = 0
-        for pos, (direction, payload) in enumerate(capture):
-            self._ship_frame(index, pos, direction, payload)
+        for pos, (direction, payload, body) in enumerate(capture):
+            self._ship_frame(index, pos, direction, payload, body)
             sent += 1
         capture.clear()
         if self.state.replicated:
@@ -371,7 +371,12 @@ class Session:
                 protocol.encode_result(index, sent, status, epoch, records)
             )
 
-    def _ship_frame(self, index: int, pos: int, direction: str, payload) -> None:
+    def _ship_frame(
+        self, index: int, pos: int, direction: str, payload, body=None
+    ) -> None:
+        """Frame *payload* under this session's seq and ship it. *body*
+        is its wire serialisation when the framed link already built
+        one (reused as is); None encodes it here."""
         seq = self.seq
         self.seq = (self.seq + 1) & 0x0F  # FRAME_SEQ_BITS-wide window
         writer = encode_frame(
@@ -380,6 +385,7 @@ class Session:
             self.engine_name,
             seq=seq,
             crc_bits=self.config.crc_bits,
+            body=body,
         )
         frame_bytes = writer.getvalue()
         frame_bits = writer.bit_count
@@ -409,12 +415,10 @@ class Session:
         )
 
     def _window_insert(self, key: Tuple[int, int], entry) -> None:
-        if key not in self.window:
-            self._window_order.append(key)
-        self.window[key] = entry
-        while len(self._window_order) > self.config.retransmit_window:
-            evicted = self._window_order.pop(0)
-            self.window.pop(evicted, None)
+        window = self.window
+        window[key] = entry  # a re-inserted key keeps its age
+        while len(window) > self.config.retransmit_window:
+            del window[next(iter(window))]
 
     # ------------------------------------------------------------------
     # Drain / close

@@ -10,6 +10,8 @@ real encodings in tests.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 
 def bits_for(value_count: int) -> int:
     """Number of bits needed to index ``value_count`` distinct values.
@@ -40,25 +42,31 @@ class BitWriter:
         self._bit_count += width
 
     def write_bytes(self, data: bytes) -> None:
-        for byte in data:
-            self.write(byte, 8)
-
-    def extend(self, other: "BitWriter") -> None:
-        """Append every bit another writer holds (frame composition)."""
-        self._chunks.extend(other._chunks)
-        self._bit_count += other._bit_count
+        """Append *data* as one ``8·len(data)``-bit field."""
+        self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     @property
     def bit_count(self) -> int:
         return self._bit_count
 
+    def value(self) -> int:
+        """The whole stream as one integer of :attr:`bit_count` bits.
+
+        The chunks are folded in place, so asking again (or asking
+        after a few more writes) only folds what was added since."""
+        chunks = self._chunks
+        if len(chunks) == 1:
+            return chunks[0][0]
+        acc = 0
+        for value, width in chunks:
+            acc = (acc << width) | value
+        self._chunks = [(acc, self._bit_count)]
+        return acc
+
     def getvalue(self) -> bytes:
         """Pack the stream into bytes, zero-padded to a byte boundary."""
-        acc = 0
-        for value, width in self._chunks:
-            acc = (acc << width) | value
         pad = (-self._bit_count) % 8
-        acc <<= pad
+        acc = self.value() << pad
         total_bytes = (self._bit_count + pad) // 8
         return acc.to_bytes(total_bytes, "big") if total_bytes else b""
 
@@ -89,7 +97,22 @@ class BitReader:
         return (self._value >> (self._total - end)) & ((1 << width) - 1)
 
     def read_bytes(self, count: int) -> bytes:
-        return bytes(self.read(8) for _ in range(count))
+        """Read *count* bytes as one ``8·count``-bit field."""
+        return self.read(8 * count).to_bytes(count, "big")
+
+    def unread(self) -> Tuple[int, int]:
+        """The bits not yet read, as ``(value, width)``, without
+        consuming them: a parser walks many small fields of *value*
+        locally, then passes the width it used to :meth:`skip`."""
+        width = self._limit - self._pos
+        value = self._value >> (self._total - self._limit)
+        return value & ((1 << width) - 1), width
+
+    def skip(self, width: int) -> None:
+        """Consume *width* bits without returning them."""
+        if not 0 <= width <= self._limit - self._pos:
+            raise EOFError("bit stream exhausted")
+        self._pos += width
 
     def seek(self, bit_position: int) -> None:
         """Jump to an absolute bit position (frame field access)."""

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, LineId, SetAssociativeCache
+from repro.compression.base import CompressedBlock
 from repro.compression.registry import make_engine
 from repro.core.config import CableConfig
 from repro.core.encoder import CableLinkPair
@@ -259,6 +260,51 @@ class TestReliableLink:
         assert delivery.data == LINE
         assert health["raw_fallbacks"] == 1
 
+
+    def test_out_of_range_copy_behind_a_valid_crc_is_nacked(self):
+        """A frame can pass its CRC and still be wrong (1 in 256 at
+        ``crc_bits=8``). An LBE copy reaching past the words produced
+        so far must then be a decode error, NACKed and retransmitted,
+        not an IndexError that fails the access."""
+        engine = make_engine("lbe")
+        line = bytes(64)
+        good = Payload(
+            kind=PayloadKind.NO_REFERENCE,
+            line_addr=0x40,
+            line_bytes=64,
+            block=engine.compress_with_references(line, []),
+        )
+        # Offset 20 fits the 5-bit field at refcount 0, but there are
+        # no window words and nothing produced yet.
+        forged = Payload(
+            kind=PayloadKind.NO_REFERENCE,
+            line_addr=0x40,
+            line_bytes=64,
+            block=CompressedBlock("lbe", 12, 64, (("copy", 20, 16),)),
+        )
+        bad = encode_frame(forged, seq=0)
+
+        class _Forge:
+            def __init__(self):
+                self.sent = False
+
+            def corrupt(self, data, bit_count):
+                if self.sent:
+                    return data, bit_count
+                self.sent = True
+                return bad.getvalue(), bad.bit_count
+
+        link, health = make_link(wire=_Forge())
+        delivery = link.deliver(
+            "fill",
+            good,
+            lambda p: engine.decompress_with_references(p.block, []),
+            lambda: raw_payload(line),
+        )
+        assert delivery.data == line
+        assert delivery.attempts == 2
+        assert health["decode_errors"] == 1 and health["nacks"] == 1
+        assert health["crc_failures"] == 0
 
 # ---------------------------------------------------------------------------
 # End-to-end: the §IV-A race closed inside the protocol

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.setassoc import LineId
 from repro.compression.registry import make_engine
@@ -10,9 +12,12 @@ from repro.core.payload import Payload, PayloadKind, choose_payload
 from repro.link.wire import (
     DecodedPayload,
     WireFormat,
+    decode_frame,
     decode_payload,
+    encode_frame,
     encode_oracle_hybrid_lbe,
     encode_payload,
+    frame_crc,
 )
 from repro.util.words import words_to_bytes
 
@@ -177,3 +182,66 @@ class TestFullCableWirePath:
             else:
                 out = decoder.decompress_with_references(decoded.block, ())
             assert out == line
+
+
+def _bitwise_crc(data: bytes, bits: int, width: int, poly: int, init: int) -> int:
+    """Bit-at-a-time CRC over the first *bits* bits of *data*, zero
+    padded to a byte, then the bit length as four big-endian bytes."""
+    nbytes = (bits + 7) // 8
+    prefix = bytearray(data[:nbytes])
+    if nbytes and nbytes * 8 > bits:
+        prefix[-1] &= (0xFF << (nbytes * 8 - bits)) & 0xFF
+    top, mask, crc = 1 << (width - 1), (1 << width) - 1, init
+    for byte in bytes(prefix) + bits.to_bytes(4, "big"):
+        crc ^= byte << (width - 8)
+        for _ in range(8):
+            crc = ((crc << 1) ^ poly) if crc & top else (crc << 1)
+            crc &= mask
+    return crc
+
+
+class TestFrameCrc:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(min_size=0, max_size=96), cut=st.integers(0, 768))
+    def test_crc16_matches_bitwise_oracle(self, data, cut):
+        bits = min(cut, len(data) * 8)
+        assert frame_crc(data, bits, 16) == _bitwise_crc(data, bits, 16, 0x1021, 0xFFFF)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(min_size=0, max_size=96), cut=st.integers(0, 768))
+    def test_crc8_matches_bitwise_oracle(self, data, cut):
+        bits = min(cut, len(data) * 8)
+        assert frame_crc(data, bits, 8) == _bitwise_crc(data, bits, 8, 0x07, 0xFF)
+
+    def test_bits_past_the_prefix_are_ignored(self):
+        data = bytes(range(40))
+        for bits in (1, 7, 9, 100, 317):
+            tail = bytearray(data)
+            tail[bits >> 3] ^= 0x80 >> (bits & 7)  # first bit after the prefix
+            assert frame_crc(bytes(tail), bits, 16) == frame_crc(data, bits, 16)
+
+    def test_unsupported_width_rejected(self):
+        with pytest.raises(ValueError):
+            frame_crc(b"\x00", 8, 12)
+
+
+class TestFrameBody:
+    def test_prebuilt_body_gives_the_same_frame(self):
+        engine = make_engine("lbe")
+        rng = random.Random(4)
+        ref = make_sparse_line(rng)
+        line = bytearray(ref)
+        line[5] ^= 0x21
+        payload = Payload(
+            kind=PayloadKind.WITH_REFERENCES,
+            line_addr=0x80,
+            line_bytes=64,
+            remote_lids=(LineId(3),),
+            block=engine.compress_with_references(bytes(line), [ref]),
+        )
+        first = encode_frame(payload, FMT, "lbe", seq=2)
+        again = encode_frame(payload, FMT, "lbe", seq=9, body=first.body)
+        fresh = encode_frame(payload, FMT, "lbe", seq=9)
+        assert (again.getvalue(), again.bit_count) == (fresh.getvalue(), fresh.bit_count)
+        seq, decoded = decode_frame(again.getvalue(), again.bit_count, "lbe", FMT)
+        assert seq == 9 and decoded.block.tokens == payload.block.tokens
