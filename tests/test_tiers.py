@@ -10,6 +10,8 @@ identity) live in tests/test_tiers_properties.py.
 
 import pytest
 
+from repro.core.config import CableConfig
+from repro.fault.plan import FaultPlan
 from repro.tiers import (
     CapacityCache,
     CapacityTierConfig,
@@ -126,6 +128,20 @@ class TestCxlTier:
         assert result.extras["p50_fill_ns"] >= floor
         assert result.extras["p99_fill_ns"] >= result.extras["p50_fill_ns"]
         assert result.busy_ns > 0
+
+    def test_cable_with_recovery_layer(self):
+        # A lossy cable (faults imply the recovery layer) runs end to
+        # end: every line still verifies, framing and retransmits show
+        # up as overhead, and the pair's hit/miss dynamics are those
+        # of the loss-free run.
+        plan = FaultPlan(seed=5, bitflip_rate=0.05, drop_rate=0.02)
+        lossy = run_cxl_tier("gcc", small_cxl(cable=CableConfig(faults=plan)))
+        clean = run_cxl_tier("gcc", small_cxl())
+        assert lossy.verify_failures == 0
+        assert lossy.overhead_bits > 0
+        assert clean.overhead_bits == 0
+        assert lossy.misses == clean.misses
+        assert lossy.transfers == clean.transfers
 
     def test_stream_scheme_supported(self):
         result = run_cxl_tier("gcc", small_cxl(scheme="bdi"))
